@@ -170,10 +170,27 @@ class CfgParser
         else if (sec.name == "avgpool") {
             requireNet(sec);
             net_->globalPool();
+        } else if (isShapeNeutral(sec.name)) {
+            logWarn(source_, ":", sec.line, ": skipping section [",
+                    sec.name, "] (it does not change layer shapes)");
         } else {
-            logWarn(source_, ":", sec.line, ": skipping unknown section [",
-                    sec.name, "] (shape propagation continues past it)");
+            // Planning on past a [route], [shortcut], [upsample], ...
+            // would hand every later layer the wrong input shape.
+            fail(sec.line, "unsupported section [" + sec.name +
+                               "] (it may change the input shape of "
+                               "later layers)");
         }
+    }
+
+    /** Heads and training-only layers: no later conv sees their
+     *  effect on the tensor, so skipping them keeps shapes right. */
+    static bool isShapeNeutral(const std::string &name)
+    {
+        for (const char *n : {"yolo", "region", "detection", "dropout",
+                              "softmax", "cost"})
+            if (name == n)
+                return true;
+        return false;
     }
 
     void handleNet(const Section &sec)

@@ -20,12 +20,15 @@
  *                    layer.
  *   [avgpool]        global pool: collapses the cursor to 1x1.
  *
- * Any other section ([shortcut], [route], [yolo], ...) is skipped
- * *loudly* — one warning with its line number — and shape propagation
- * continues linearly past it. Malformed input (non-key=value line,
- * non-integer value, zero filters, a truncated section missing a
- * required key, a conv before [net] dimensions) raises FatalError
- * with "source:line:" context.
+ * Sections that leave layer shapes alone ([yolo], [region],
+ * [detection], [dropout], [softmax], [cost]) are skipped *loudly* —
+ * one warning with its line number. Any other section ([route],
+ * [shortcut], [upsample], anything unknown) could change the input
+ * shape of later layers, so it raises FatalError rather than plan
+ * them wrong. Malformed input (non-key=value line, non-integer value,
+ * zero filters, a truncated section missing a required key, a conv
+ * before [net] dimensions) raises FatalError too; every error carries
+ * "source:line:" context.
  */
 
 #ifndef MOPT_FRONTEND_CFG_PARSER_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -492,36 +491,13 @@ ShardRouter::optimize(const std::vector<ConvProblem> &net,
     plan.stats.layers = net.size();
     RouteStats rstats;
 
-    // Same first-seen-order dedupe as NetworkOptimizer::optimize, so
-    // remote, degraded, and local plans line up layer for layer.
-    struct Group
-    {
-        CacheKey key;
-        std::vector<std::size_t> layers;
-    };
-    std::vector<Group> groups;
-    std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < net.size(); ++i) {
-        net[i].validate();
-        const CacheKey key = CacheKey::make(net[i], machine_, opts_);
-        auto &indices = by_hash[key.hash()];
-        bool found = false;
-        for (const std::size_t gi : indices) {
-            if (groups[gi].key == key) {
-                groups[gi].layers.push_back(i);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            indices.push_back(groups.size());
-            groups.push_back(Group{key, {i}});
-        }
-    }
+    // The dedupe NetworkOptimizer::optimize uses, so remote,
+    // degraded, and local plans line up layer for layer.
+    const std::vector<ShapeGroup> groups = groupByShape(net, machine_, opts_);
     plan.stats.unique_shapes = groups.size();
     rstats.unique_shapes = groups.size();
 
-    for (const Group &g : groups) {
+    for (const ShapeGroup &g : groups) {
         const ConvProblem &rep = net[g.layers.front()];
         const RpcSolveResult r = solveOne(g.key, rstats);
 

@@ -27,8 +27,8 @@
  * concurrently up to the --solve-concurrency budget, each on a
  * partition of the thread-pool width. Solves are width-independent
  * (docs/ARCHITECTURE.md), so responses are byte-identical for any
- * budget, and a budget of 1 reproduces the historical serialized
- * behavior.
+ * budget; a budget of 1 runs one solve at a time through the same
+ * scheduler.
  *
  * Admission control: new connections are shed when the dispatched-
  * request backlog is saturated (max_pending_conns) or the peer is

@@ -6,25 +6,25 @@
  * (problem, machine, settings) solves are done exactly once — across
  * layers, across networks, and across process lifetimes.
  *
- * Each cache miss is solved by the existing optimizeConv pipeline,
- * which internally fans its (permutation combo x objective x start)
- * work items across ThreadPool::parallelForIndexed. Without a
- * SolveScheduler, misses are issued one at a time so every solve gets
- * the full pool width; with one, all miss groups are submitted up
- * front and joined in network order, so an N-miss cold network
- * pipelines across the scheduler's concurrency budget (and coalesces
- * with any other request solving the same shape). Either way the
+ * Every unique shape goes through a SolveScheduler, whose misses run
+ * the optimizeConv pipeline (its permutation combo x objective x
+ * start work items fanned across ThreadPool::parallelForIndexed). All
+ * groups are submitted up front and joined in network order, so an
+ * N-miss cold network pipelines across the scheduler's concurrency
+ * budget (budget 1: one solve at a time at the full pool width) and
+ * coalesces with any other request solving the same shape. The
  * per-layer results are deterministic — optimizeConv is bit-identical
- * for any worker width — so the returned plan is byte-identical
- * between serial and pipelined runs, and between a cold and a warm
- * run: a hit replays the stored winning ExecConfig and re-derives the
- * cost breakdown from the (deterministic) analytical model.
+ * for any worker width — so the returned plan is byte-identical for
+ * any budget, and between a cold and a warm run: a hit replays the
+ * stored winning ExecConfig and re-derives the cost breakdown from
+ * the (deterministic) analytical model.
  */
 
 #ifndef MOPT_SERVICE_NETWORK_OPTIMIZER_HH
 #define MOPT_SERVICE_NETWORK_OPTIMIZER_HH
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,11 +60,11 @@ struct NetworkPlanStats
     double total_seconds = 0;      //!< Wall time of the whole call.
 
     /** Misses that joined another request's in-flight solve instead
-     *  of running one (scheduler-backed runs only). */
+     *  of running one. */
     std::size_t coalesced = 0;
 
-    /** Scheduler-lifetime peak of simultaneous solves (0 when this
-     *  run solved serially without a scheduler). */
+    /** Scheduler-lifetime peak of simultaneous solves (0 before its
+     *  first solve). */
     int peak_concurrency = 0;
 
     /** cache_hits / unique_shapes (1 when there was nothing to do). */
@@ -88,12 +88,32 @@ struct NetworkPlan
     std::string str() const;
 };
 
+/** The layers of a network that share one canonical CacheKey. */
+struct ShapeGroup
+{
+    CacheKey key;
+    std::vector<std::size_t> layers; //!< Network indices, ascending.
+};
+
 /**
- * Batch front-end over optimizeConv. Holds the machine, the search
- * settings, and an optional solution cache shared across calls (and,
- * via its journal, across runs). Thread-safe: concurrent optimize()
- * calls only share the SolutionCache and SolveScheduler, which are
- * themselves thread-safe.
+ * Validate every layer of @p net and group the layers by canonical
+ * CacheKey (layer names do not matter), in first-seen order, so
+ * solves follow the network order regardless of hash order. Every
+ * front end that assembles a NetworkPlan (NetworkOptimizer,
+ * ShardRouter) groups through this, so their plans line up layer for
+ * layer.
+ */
+std::vector<ShapeGroup> groupByShape(const std::vector<ConvProblem> &net,
+                                     const MachineSpec &m,
+                                     const OptimizerOptions &opts);
+
+/**
+ * Batch front-end over a SolveScheduler. Holds the machine, the
+ * search settings, and the scheduler (with its optional solution
+ * cache, shared across calls and, via its journal, across runs).
+ * Thread-safe: concurrent optimize() calls only share the
+ * SolveScheduler and its SolutionCache, which are themselves
+ * thread-safe.
  */
 class NetworkOptimizer
 {
@@ -101,13 +121,17 @@ class NetworkOptimizer
     /**
      * @param machine    target machine description
      * @param opts       search settings applied to every layer
-     * @param cache      optional solution cache (not owned; may be null)
+     * @param cache      optional solution cache (not owned; may be
+     *                   null) for the scheduler this optimizer builds
+     *                   when @p scheduler is null; an injected
+     *                   scheduler brings its own
      * @param scheduler  optional single-flight solve scheduler (not
-     *                   owned). When given, it must be built from the
-     *                   same machine and settings (checked), misses
-     *                   pipeline across its concurrency budget, and
-     *                   @p cache should be the scheduler's cache.
-     *                   When null, misses solve serially in-place.
+     *                   owned), shared with other front ends so their
+     *                   duplicate requests coalesce. It must be built
+     *                   from the same machine and settings (checked).
+     *                   When null, the optimizer owns a budget-1
+     *                   scheduler over (@p machine, @p opts, @p cache):
+     *                   one solve at a time at the full pool width.
      */
     NetworkOptimizer(const MachineSpec &machine,
                      const OptimizerOptions &opts,
@@ -136,7 +160,7 @@ class NetworkOptimizer
   private:
     MachineSpec machine_;
     OptimizerOptions opts_;
-    SolutionCache *cache_;
+    std::unique_ptr<SolveScheduler> owned_scheduler_; //!< When none given.
     SolveScheduler *scheduler_;
 };
 

@@ -27,8 +27,8 @@
  *    (total width = OptimizerOptions::threads, 0 = hardware).
  *  - **Determinism.** optimizeConv is bit-identical for any worker
  *    width (results reduce in job order — see docs/ARCHITECTURE.md),
- *    so plans are byte-identical for any `concurrency`, and
- *    concurrency 1 reproduces the historical serialized behavior.
+ *    so plans are byte-identical for any `concurrency`; concurrency 1
+ *    runs one solve at a time at the full pool width.
  *  - **Failure containment.** A throwing solve propagates to every
  *    waiter via the shared future and the in-flight entry is erased
  *    first, so the key is retried fresh on the next request — no
@@ -65,8 +65,8 @@ struct SolveSchedulerOptions
     SolveSchedulerOptions() = default;
     SolveSchedulerOptions(int c) : concurrency(c) {}
 
-    /** Maximum concurrent optimizeConv solves (runner threads). 1
-     *  reproduces the historical one-solve-at-a-time behavior. */
+    /** Maximum concurrent optimizeConv solves (runner threads); 1
+     *  runs one solve at a time at the full pool width. */
     int concurrency = 1;
 
     /**

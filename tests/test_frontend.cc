@@ -249,6 +249,20 @@ TEST(CfgParser, RejectsEmptyNetwork)
                  FatalError);
 }
 
+TEST(CfgParser, RejectsShapeChangingSection)
+{
+    // [route] layers=-2 makes the 1x1 conv read the first conv's
+    // output (C16 H32), not the second's (C32 H16): planning on past
+    // it would be silently wrong, so the parser refuses at its line.
+    expectParseError("[net]\nwidth=32\nheight=32\nchannels=3\n"
+                     "[convolutional]\nfilters=16\nsize=3\npad=1\n"
+                     "[convolutional]\nfilters=32\nsize=3\nstride=2\n"
+                     "pad=1\n"
+                     "[route]\nlayers=-2\n"
+                     "[convolutional]\nfilters=8\nsize=1\n",
+                     "bad.cfg:14: unsupported section [route]");
+}
+
 TEST(CfgParser, SkipsUnknownSectionsAndParsesOn)
 {
     const std::string text = "[net]\nwidth=8\nheight=8\nchannels=4\n"

@@ -3,8 +3,10 @@
  * Tests of the single-flight solve scheduler: concurrent requests for
  * one key coalesce onto exactly one solver invocation, distinct keys
  * overlap in time up to the concurrency budget, plans are
- * byte-identical for any budget, and a throwing solve reaches every
- * waiter while leaving the key retryable (no poisoned entries).
+ * byte-identical for any budget (including the budget-1 scheduler a
+ * NetworkOptimizer owns when given none), and a throwing solve
+ * reaches every waiter while leaving the key retryable (no poisoned
+ * entries).
  */
 
 #include <gtest/gtest.h>
@@ -207,9 +209,11 @@ TEST(NetworkOptimizer, SchedulerPlanIsByteIdenticalToSerial)
         net.push_back(smallProblem(16 + 16 * i));
     }
 
+    // No scheduler given: the optimizer owns a budget-1 one.
     SolutionCache serial_cache;
     const NetworkOptimizer serial(tiny(), fastOpts(), &serial_cache);
     const NetworkPlan serial_plan = serial.optimize(net);
+    EXPECT_EQ(serial_plan.stats.peak_concurrency, 1);
 
     SolutionCache cache;
     SolveScheduler sched(tiny(), fastOpts(), &cache,
@@ -230,6 +234,24 @@ TEST(NetworkOptimizer, SchedulerPlanIsByteIdenticalToSerial)
     EXPECT_EQ(warm.stats.cache_hits, warm.stats.unique_shapes);
     EXPECT_EQ(sched.stats().solves,
               static_cast<std::int64_t>(cold.stats.cache_misses));
+}
+
+TEST(NetworkOptimizer, ExpiredDeadlineThrowsThenRetryConverges)
+{
+    // Four distinct cold shapes on the owned budget-1 scheduler: none
+    // can be ready by the time an already-expired deadline is checked.
+    std::vector<ConvProblem> net;
+    for (int i = 0; i < 4; ++i)
+        net.push_back(smallProblem(16 + 16 * i));
+
+    SolutionCache cache;
+    const NetworkOptimizer nopt(tiny(), fastOpts(), &cache);
+    EXPECT_THROW(nopt.optimize(net, Deadline::in(0)), DeadlineExceeded);
+
+    // The abandoned flights keep running; a retry gets the same plan
+    // a fresh optimizer computes.
+    const NetworkOptimizer fresh(tiny(), fastOpts());
+    EXPECT_EQ(nopt.optimize(net).str(), fresh.optimize(net).str());
 }
 
 TEST(NetworkOptimizer, RejectsMismatchedScheduler)

@@ -41,7 +41,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "autotune/autotune.hh"
@@ -95,8 +94,9 @@ Network mode (optimize every conv layer of a whole network):
   mopt network --net=<name|file.cfg> [--batch=N] [options]
   --net=<name>           registered network (resnet18|vgg16|yolov3) or
                          a darknet-style .cfg file ([net]/[convolutional]
-                         with filters/size/stride/pad/groups; unknown
-                         sections are skipped loudly)
+                         with filters/size/stride/pad/groups; [yolo]
+                         and other shape-neutral heads are skipped
+                         loudly, any other section is an error)
   --batch=N              batch size for every layer (default: the
                          .cfg's [net] batch, else 1)
   --cache=<path>         persistent solution cache (JSON journal);
@@ -105,8 +105,9 @@ Network mode (optimize every conv layer of a whole network):
   --plan-out=<path>      write the per-layer plan to a file
                          (deterministic; byte-identical cold vs warm)
   --solve-concurrency=N  solve up to N cold shapes at once, each on
-                         1/N of the thread-pool width (default 1 =
-                         serial; the plan is byte-identical either way)
+                         1/N of the thread-pool width (default 1 = one
+                         solve at a time; the plan is byte-identical
+                         for any N)
   --calibration=<path>   apply the measured per-machine correction
                          fitted from this journal (see autotune mode);
                          an empty or identity journal changes nothing
@@ -348,15 +349,11 @@ runNetwork(int argc, char **argv)
                   << " concurrent solves (plan unchanged)\n";
     std::cout << "\n";
 
-    // --solve-concurrency 1 keeps the serial in-place miss loop (the
-    // historical behavior); anything higher pipelines misses through
-    // a single-flight scheduler. The plan is byte-identical.
-    std::unique_ptr<SolveScheduler> sched;
-    if (solve_concurrency > 1)
-        sched = std::make_unique<SolveScheduler>(
-            m, opts, &cache,
-            SolveSchedulerOptions{solve_concurrency});
-    const NetworkOptimizer nopt(m, opts, &cache, sched.get());
+    // Misses pipeline through a single-flight scheduler at this
+    // budget (1 = one solve at a time). The plan is byte-identical.
+    SolveScheduler sched(m, opts, &cache,
+                         SolveSchedulerOptions{solve_concurrency});
+    const NetworkOptimizer nopt(m, opts, &cache, &sched);
     const NetworkPlan plan = nopt.optimize(net);
     const std::string plan_text = plan.str();
     std::cout << plan_text << "\n";
@@ -370,7 +367,7 @@ runNetwork(int argc, char **argv)
               << "Search: " << formatDouble(st.solve_seconds, 2)
               << " s in " << st.solver_evals << " model evaluations, "
               << formatDouble(st.total_seconds, 2) << " s total\n";
-    if (sched)
+    if (solve_concurrency > 1)
         std::cout << "Scheduler: " << st.cache_misses - st.coalesced
                   << " solves, " << st.coalesced
                   << " coalesced, peak " << st.peak_concurrency
